@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   const fifer::Config cfg = fifer::Config::from_args(argc, argv);
   fifer::bench::BenchSettings s = fifer::bench::BenchSettings::from_config(cfg);
   s.duration_s = cfg.get_double("duration_s", 1200.0);
+  fifer::exit_on_unknown_keys(cfg);
 
   std::vector<Variant> variants;
   variants.push_back({"Fifer (paper)", fifer::RmConfig::fifer()});

@@ -17,13 +17,16 @@ int main(int argc, char** argv) {
   s.duration_s = cfg.get_double("duration_s", 1200.0);
   s.lambda = cfg.get_double("lambda", 50.0);
   const std::string csv_path = cfg.get_string("csv", "");
+  const fifer::RateTrace trace = fifer::bench::prototype_trace(cfg, s);
+  const std::size_t jobs = fifer::bench::bench_jobs(cfg);
+  fifer::exit_on_unknown_keys(cfg);
 
   auto base = fifer::bench::make_params(
       fifer::RmConfig::bline(), fifer::WorkloadMix::heavy(),
-      fifer::bench::prototype_trace(cfg, s), "prototype", s,
+      trace, "prototype", s,
       fifer::bench::prototype_cluster());
   const auto results = fifer::bench::run_paper_sweep(
-      std::move(base), s, fifer::bench::bench_jobs(cfg));
+      std::move(base), s, jobs);
 
   fifer::Table t("Figure 10a — response-latency CDF up to P95, heavy mix (ms)");
   std::vector<std::string> head{"quantile"};

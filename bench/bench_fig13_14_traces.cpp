@@ -17,6 +17,8 @@ int main(int argc, char** argv) {
   const fifer::Config cfg = fifer::Config::from_args(argc, argv);
   fifer::bench::BenchSettings s = fifer::bench::BenchSettings::from_config(cfg);
   s.duration_s = cfg.get_double("duration_s", 1200.0);
+  const std::size_t jobs = fifer::bench::bench_jobs(cfg);
+  fifer::exit_on_unknown_keys(cfg);
 
   // One full-factorial grid: 2 traces x 3 mixes x 5 RMs = 30 runs, fanned
   // out over jobs=N workers. Results come back row-major (trace slowest,
@@ -31,7 +33,7 @@ int main(int argc, char** argv) {
               fifer::WorkloadMix::light()})
       .traces({{"WIKI", fifer::bench::bench_wiki(s)},
                {"WITS", fifer::bench::bench_wits(s)}})
-      .jobs(fifer::bench::bench_jobs(cfg))
+      .jobs(jobs)
       .on_progress(fifer::bench::sweep_progress());
   const auto results = grid.run();
   const auto at = [&](std::size_t ti, std::size_t mi, std::size_t pi)

@@ -15,6 +15,9 @@ int main(int argc, char** argv) {
   fifer::bench::BenchSettings s = fifer::bench::BenchSettings::from_config(cfg);
   s.duration_s = cfg.get_double("duration_s", 1200.0);
   s.lambda = cfg.get_double("lambda", 50.0);
+  const fifer::RateTrace trace = fifer::bench::prototype_trace(cfg, s);
+  const std::size_t jobs = fifer::bench::bench_jobs(cfg);
+  fifer::exit_on_unknown_keys(cfg);
 
   fifer::Table t("Figure 15 — cluster energy, heavy mix (normalized to Bline)");
   t.set_columns({"policy", "energy_kJ", "normalized", "avg_power_W",
@@ -22,10 +25,10 @@ int main(int argc, char** argv) {
 
   auto params = fifer::bench::make_params(
       fifer::RmConfig::bline(), fifer::WorkloadMix::heavy(),
-      fifer::bench::prototype_trace(cfg, s), "prototype", s,
+      trace, "prototype", s,
       fifer::bench::prototype_cluster());
   const auto results = fifer::bench::run_paper_sweep(
-      std::move(params), s, fifer::bench::bench_jobs(cfg));
+      std::move(params), s, jobs);
 
   double base = 0.0;
   for (const auto& r : results) {

@@ -14,6 +14,8 @@ int main(int argc, char** argv) {
   const fifer::Config cfg = fifer::Config::from_args(argc, argv);
   fifer::bench::BenchSettings s = fifer::bench::BenchSettings::from_config(cfg);
   s.duration_s = cfg.get_double("duration_s", 1200.0);
+  const std::size_t jobs = fifer::bench::bench_jobs(cfg);
+  fifer::exit_on_unknown_keys(cfg);
 
   fifer::Table t("Figure 16 — cold starts per trace snapshot (heavy mix)");
   t.set_columns({"policy", "wiki", "wits", "wiki_norm_vs_Fifer",
@@ -30,7 +32,7 @@ int main(int argc, char** argv) {
   for (const auto& rm : rms) grid.add(rm);
   grid.traces({{"wiki", fifer::bench::bench_wiki(s)},
                {"wits", fifer::bench::bench_wits(s)}})
-      .jobs(fifer::bench::bench_jobs(cfg))
+      .jobs(jobs)
       .on_progress(fifer::bench::sweep_progress());
   const auto results = grid.run();
 

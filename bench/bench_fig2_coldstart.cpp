@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "cluster/coldstart.hpp"
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -49,6 +50,7 @@ int main(int argc, char** argv) {
   model.pull_mbps = cfg.get_double("pull_mbps", 140.0);
   model.storage_mbps = cfg.get_double("storage_mbps", 80.0);
   model.runtime_init_ms = cfg.get_double("runtime_init_ms", 850.0);
+  fifer::exit_on_unknown_keys(cfg);
   fifer::Rng rng(seed);
 
   fifer::Table cold("Figure 2a — cold start latency (ms)");

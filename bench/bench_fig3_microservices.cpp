@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -16,6 +17,7 @@ int main(int argc, char** argv) {
   const fifer::Config cfg = fifer::Config::from_args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
   const int runs = static_cast<int>(cfg.get_int("runs", 100));
+  fifer::exit_on_unknown_keys(cfg);
 
   const auto services = fifer::MicroserviceRegistry::djinn_tonic();
   const auto apps = fifer::ApplicationRegistry::paper_chains();

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const fifer::Config cfg = fifer::Config::from_args(argc, argv);
   fifer::bench::BenchSettings s = fifer::bench::BenchSettings::from_config(cfg);
   const double burst = cfg.get_double("burst", 8.0);
+  fifer::exit_on_unknown_keys(cfg);
 
   // One-second burst of `burst` requests, then silence; metrics cover all.
   s.warmup_s = 0.0;

@@ -18,6 +18,10 @@ int main(int argc, char** argv) {
   fifer::bench::BenchSettings s = fifer::bench::BenchSettings::from_config(cfg);
   s.duration_s = cfg.get_double("duration_s", 2000.0);
   const std::string csv_path = cfg.get_string("csv", "");
+  // extras=true appends the repo's extension baselines (seasonal-naive,
+  // Holt-Winters) to the paper's eight models.
+  const bool extras = cfg.get_bool("extras", false);
+  fifer::exit_on_unknown_keys(cfg);
 
   const fifer::RateTrace trace = fifer::bench::bench_wits(s);
   std::cerr << "WITS-shaped trace: avg " << fifer::fmt(trace.average_rate(), 1)
@@ -30,10 +34,8 @@ int main(int argc, char** argv) {
   fifer::Table t("Figure 6a — prediction model comparison (WITS trace, 60/40 split)");
   t.set_columns({"model", "RMSE_rps", "MAE_rps", "forecast_latency_ms"});
 
-  // extras=true appends the repo's extension baselines (seasonal-naive,
-  // Holt-Winters) to the paper's eight models.
   std::vector<std::string> names = fifer::paper_predictor_names();
-  if (cfg.get_bool("extras", false)) {
+  if (extras) {
     names.push_back("seasonal");
     names.push_back("hw");
   }

@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
   const fifer::Config cfg = fifer::Config::from_args(argc, argv);
   fifer::bench::BenchSettings s = fifer::bench::BenchSettings::from_config(cfg);
   s.duration_s = cfg.get_double("duration_s", 1800.0);
+  fifer::exit_on_unknown_keys(cfg);
 
   print_trace_profile("WITS", fifer::bench::bench_wits(s));
   print_trace_profile("Wiki", fifer::bench::bench_wiki(s));

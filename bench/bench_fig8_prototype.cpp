@@ -8,7 +8,7 @@
 //
 // Live leg (live=1): this is the paper's actual Figure 8 methodology — a
 // real system and the simulator driven by the same trace. We replay the
-// heavy mix through the wall-clock multithreaded runtime (time-compressed
+// heavy mix through the wall-clock runtime (time-compressed
 // by live_scale, default 100x) behind the byte-identical policy engine and
 // report sim-vs-live deltas per RM: SLO-violation percentage points and
 // peak-container percentage. Keep the offered load inside the prototype's
@@ -29,6 +29,10 @@ int main(int argc, char** argv) {
   // constant-rate process (where a clean simulator shows ~zero violations
   // for every RM — see EXPERIMENTS.md).
   const double drift = cfg.get_double("drift", 0.8);
+  const std::size_t jobs = fifer::bench::bench_jobs(cfg);
+  const bool live = cfg.get_bool("live", false);
+  const double live_scale = cfg.get_double("live_scale", 100.0);
+  fifer::exit_on_unknown_keys(cfg);
 
   fifer::Table slo("Figure 8a — SLO violations (% absolute | normalized to Bline)");
   fifer::Table containers(
@@ -38,7 +42,6 @@ int main(int argc, char** argv) {
   containers.set_columns({"workload", "Bline", "SBatch", "RScale", "BPred", "Fifer"});
   spawned.set_columns({"workload", "Bline", "SBatch", "RScale", "BPred", "Fifer"});
 
-  const std::size_t jobs = fifer::bench::bench_jobs(cfg);
   std::vector<fifer::ExperimentResult> heavy_results;
   for (const auto* mix_name : {"heavy", "medium", "light"}) {
     const auto mix = fifer::WorkloadMix::by_name(mix_name);
@@ -82,8 +85,7 @@ int main(int argc, char** argv) {
                "while keeping SLO violations at Bline levels; batching-only\n"
                "RMs (SBatch/RScale) trade violations for containers.\n";
 
-  if (cfg.get_bool("live", false)) {
-    const double live_scale = cfg.get_double("live_scale", 100.0);
+  if (live) {
     fifer::Table fidelity("Figure 8 live leg — sim vs wall-clock runtime, heavy mix (" +
                           fifer::fmt(live_scale, 0) + "x compression)");
     fidelity.set_columns({"RM", "SLO% sim", "SLO% live", "delta pp",

@@ -14,6 +14,9 @@ int main(int argc, char** argv) {
   fifer::bench::BenchSettings s = fifer::bench::BenchSettings::from_config(cfg);
   s.duration_s = cfg.get_double("duration_s", 1200.0);
   s.lambda = cfg.get_double("lambda", 50.0);
+  const fifer::RateTrace trace = fifer::bench::prototype_trace(cfg, s);
+  const std::size_t jobs = fifer::bench::bench_jobs(cfg);
+  fifer::exit_on_unknown_keys(cfg);
 
   fifer::Table t("Figure 9 — P99 latency breakdown, heavy mix (ms)");
   t.set_columns({"policy", "P99_total", "p99_queuing", "p99_cold_start",
@@ -21,10 +24,10 @@ int main(int argc, char** argv) {
 
   auto base = fifer::bench::make_params(
       fifer::RmConfig::bline(), fifer::WorkloadMix::heavy(),
-      fifer::bench::prototype_trace(cfg, s), "prototype", s,
+      trace, "prototype", s,
       fifer::bench::prototype_cluster());
   const auto results = fifer::bench::run_paper_sweep(
-      std::move(base), s, fifer::bench::bench_jobs(cfg));
+      std::move(base), s, jobs);
 
   double bline_p99 = 0.0;
   for (const auto& r : results) {

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -412,6 +413,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cfg.get_int("probe_forecasts", 2000));
   const auto shards = static_cast<std::size_t>(cfg.get_int("shards", 4));
   const std::string json_out = cfg.get_string("json_out", "");
+  fifer::exit_on_unknown_keys(cfg);
 
   const std::vector<double> rates = synthetic_rates(rates_n);
 

@@ -8,8 +8,8 @@
 //  - every run reports steady-state throughput (simulator events per wall
 //    second, from ExperimentResult::sim_events) and allocator traffic
 //    (allocations per event, via the counting allocator below);
-//  - a steady-state dispatch-loop probe drives the EventQueue, StageState,
-//    Container, and interned StatsDb hot paths directly and FAILS THE BENCH
+//  - a steady-state dispatch-loop probe drives the EventQueue, StageState
+//    and Container hot paths directly and FAILS THE BENCH
 //    (non-zero exit) if a warmed-up cycle performs any heap allocation;
 //  - `json_out=<path>` emits the numbers machine-readably (BENCH_scale.json
 //    in the CI perf-smoke leg).
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/stats_db.hpp"
 #include "sim/event_queue.hpp"
 
 // ------------------------------------------------------ counting allocator
@@ -77,8 +76,8 @@ std::uint64_t allocs() {
 // Drives one warm steady-state dispatch cycle — the exact per-event work the
 // simulator's hot loop performs once fleets and queues have warmed up:
 // schedule + fire an event carrying a framework-sized capture, stage
-// enqueue/select/pop, container enqueue/pop/execute, interned StatsDb
-// read-modify-writes, and a live-fleet sweep. After a warmup pass settles
+// enqueue/select/pop, container enqueue/pop/execute, and a live-fleet
+// sweep. After a warmup pass settles
 // vector capacities, `iters` further cycles must perform ZERO allocations
 // (DESIGN.md §5g). Excluded by design: container spawn/terminate (rare, not
 // per-event) and StageState::record_wait (bounded deque, trimmed on a
@@ -104,9 +103,6 @@ ProbeResult steady_state_probe(std::uint64_t iters) {
   }
 
   EventQueue q;
-  StatsDb db;
-  const StatsDb::DocId doc = db.create_doc();
-  const StatsDb::FieldId free_slots = db.intern_field("freeSlots");
 
   Job job;
   job.records.resize(1);
@@ -120,16 +116,14 @@ ProbeResult steady_state_probe(std::uint64_t iters) {
       TaskRef task = st.pop_next();
       c->enqueue(task);
       // The framework's largest event capture is 40 bytes; mirror its shape.
-      q.schedule(t, [c, &db, doc, free_slots, task] {
+      q.schedule(t, [c, &st, &live_sum, task] {
         TaskRef popped = c->pop();
-        (void)popped;
-        db.increment(doc, free_slots, -1.0);
+        live_sum += popped.job == task.job && st.queue_empty() ? 0 : 1;
       });
       auto fired = q.pop();
       fired.callback();
       c->begin_execution(t);
       c->end_execution(t + 0.5);
-      db.increment(doc, free_slots, 1.0);
       for (const Container& cc : st.live()) live_sum += cc.warm() ? 1 : 0;
     }
   };
@@ -202,6 +196,10 @@ int main(int argc, char** argv) {
   const std::string json_out = cfg.get_string("json_out", "");
   const auto probe_iters =
       static_cast<std::uint64_t>(cfg.get_int("probe_iters", 200000));
+  fifer::ClusterSpec cluster;  // the paper's 2500-core simulation target
+  cluster.node_count = static_cast<std::uint32_t>(cfg.get_int("nodes", 157));
+  cluster.cores_per_node = 16.0;  // 157 x 16 = 2512 cores
+  fifer::exit_on_unknown_keys(cfg);
 
   // Gate first: a hot loop that allocates is a regression regardless of how
   // the wall-clock numbers look.
@@ -210,10 +208,6 @@ int main(int argc, char** argv) {
             << probe.allocations << " allocations ("
             << allocs_per_event(probe.allocations, probe.events)
             << " allocs/event)\n\n";
-
-  fifer::ClusterSpec cluster;  // the paper's 2500-core simulation target
-  cluster.node_count = static_cast<std::uint32_t>(cfg.get_int("nodes", 157));
-  cluster.cores_per_node = 16.0;  // 157 x 16 = 2512 cores
 
   fifer::Table t("Full-scale simulation — Wiki trace at published rates, " +
                  fifer::fmt(cluster.total_cores(), 0) + " cores");

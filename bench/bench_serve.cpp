@@ -27,6 +27,7 @@
 
 #include <unistd.h>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "net/loadgen.hpp"
 #include "net/serve_session.hpp"
@@ -309,6 +310,7 @@ int main(int argc, char** argv) {
   // connections / first-touch page-ins do not pollute the reported tail.
   const auto warmup = static_cast<std::uint64_t>(cfg.get_int("warmup", 100));
   const std::string json_out = cfg.get_string("json_out", "");
+  exit_on_unknown_keys(cfg);
 
   std::cout << "bench_serve: steady-state probe (" << probe_requests
             << " requests over loopback)...\n";

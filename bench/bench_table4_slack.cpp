@@ -4,6 +4,7 @@
 
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "core/slack.hpp"
@@ -12,6 +13,7 @@
 int main(int argc, char** argv) {
   const fifer::Config cfg = fifer::Config::from_args(argc, argv);
   const int cap = static_cast<int>(cfg.get_int("batch_cap", 64));
+  fifer::exit_on_unknown_keys(cfg);
 
   const auto services = fifer::MicroserviceRegistry::djinn_tonic();
   const auto apps = fifer::ApplicationRegistry::paper_chains();

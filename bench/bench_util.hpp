@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"

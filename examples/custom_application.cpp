@@ -12,6 +12,7 @@
 #include <exception>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "core/framework.hpp"
@@ -25,6 +26,7 @@ int main(int argc, char** argv) try {
   const double duration_s = cfg.get_double("duration_s", 300.0);
   const double lambda = cfg.get_double("lambda", 15.0);
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  fifer::exit_on_unknown_keys(cfg);
 
   // ---- 1. offline profiling: measure exec time across input sizes. ----
   // A video-moderation pipeline: decode -> object detection -> policy check.

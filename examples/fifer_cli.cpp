@@ -37,7 +37,7 @@
 //                         PREFIX.profile.csv. (Not to be confused with
 //                         trace=, the arrival-trace kind.)
 //   --live[=SCALE] / live=SCALE []
-//                         execute on the live multithreaded runtime instead
+//                         execute on the live wall-clock runtime instead
 //                         of the simulator, compressing time by SCALE
 //                         (default 100: 1 wall s = 100 trace s). Multi-
 //                         policy lists run live sequentially. See
@@ -326,11 +326,7 @@ int run_cli(int argc, char** argv) {
   }
 
   // Reject typos before burning cycles.
-  if (const auto unused = cfg.unused_keys(); !unused.empty()) {
-    std::string message = "unknown option(s):";
-    for (const auto& k : unused) message += ' ' + k;
-    throw fifer::CliError(message);
-  }
+  fifer::exit_on_unknown_keys(cfg, usage());
 
   // Load-generator mode: the experiment knobs only materialize the arrival
   // plan (same seed + trace => same request sequence as the serving twin).
@@ -422,7 +418,7 @@ int run_cli(int argc, char** argv) {
     return report.live.drained ? 0 : 1;
   }
 
-  // Live multi-policy mode: the live runtime owns the machine's threads, so
+  // Live multi-policy mode: each live run owns the machine's wall clock, so
   // policies run back-to-back rather than through the parallel sweep; the
   // comparison table is the same.
   if (live && policies.size() > 1) {
@@ -483,9 +479,8 @@ int run_cli(int argc, char** argv) {
     lt.add_row({"time compression", fifer::fmt(report.time_scale, 0) + "x"});
     lt.add_row({"trace time replayed s", fifer::fmt(report.sim_duration_ms / 1000.0, 1)});
     lt.add_row({"wall time s", fifer::fmt(report.wall_seconds, 2)});
-    lt.add_row({"peak worker threads", std::to_string(report.peak_worker_threads)});
+    lt.add_row({"executing threads", std::to_string(report.peak_worker_threads)});
     lt.add_row({"timer events", std::to_string(report.timer_events)});
-    lt.add_row({"stats-store writes", std::to_string(report.stats_writes)});
     std::cout << "\n";
     lt.print(std::cout);
 

@@ -11,6 +11,7 @@
 #include <iostream>
 #include <map>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "core/framework.hpp"
@@ -23,6 +24,7 @@ int main(int argc, char** argv) try {
   const double lambda = cfg.get_double("lambda", 24.0);
   const std::string policy = cfg.get_string("policy", "fifer");
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  fifer::exit_on_unknown_keys(cfg);
 
   // Three tenants: a big vision shop, a voice-assistant startup, and a
   // low-volume security product. Shares 3 : 2 : 1.

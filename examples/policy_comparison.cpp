@@ -15,6 +15,7 @@
 #include <exception>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -58,6 +59,7 @@ int main(int argc, char** argv) try {
   const std::int64_t jobs_arg = cfg.get_int(
       "jobs", static_cast<std::int64_t>(fifer::default_jobs()));
   const std::size_t jobs = jobs_arg < 1 ? 1 : static_cast<std::size_t>(jobs_arg);
+  fifer::exit_on_unknown_keys(cfg);
 
   fifer::Rng trace_rng(seed ^ 0x7ace);
   const fifer::RateTrace trace =

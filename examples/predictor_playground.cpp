@@ -7,6 +7,7 @@
 #include <exception>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "predict/evaluation.hpp"
@@ -20,6 +21,7 @@ int main(int argc, char** argv) try {
   const double duration_s = cfg.get_double("duration_s", 1500.0);
   const auto epochs = static_cast<std::size_t>(cfg.get_int("epochs", 40));
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 7));
+  fifer::exit_on_unknown_keys(cfg);
 
   // ---- a trace with structure worth predicting ----
   fifer::Rng rng(seed);

@@ -10,6 +10,7 @@
 #include <exception>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "core/framework.hpp"
@@ -21,6 +22,9 @@ int main(int argc, char** argv) try {
   const double lambda = cfg.get_double("lambda", 20.0);
   const std::string policy = cfg.get_string("policy", "fifer");
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  const double warmup_s = cfg.get_double("warmup_s", 0.0);
+  const bool timeline = cfg.get_bool("timeline", false);
+  fifer::exit_on_unknown_keys(cfg);
 
   fifer::ExperimentParams params;
   params.rm = fifer::RmConfig::by_name(policy);
@@ -31,7 +35,7 @@ int main(int argc, char** argv) try {
   // Short demo run: reap idle containers quickly so scale-down is visible.
   params.rm.idle_timeout_ms = fifer::minutes(1.0);
   params.train.epochs = 10;
-  params.warmup_ms = fifer::seconds(cfg.get_double("warmup_s", 0.0));
+  params.warmup_ms = fifer::seconds(warmup_s);
 
   std::cout << "Running " << params.rm.name << " on " << params.mix.name()
             << " mix, Poisson(" << lambda << " req/s) for " << duration_s
@@ -51,7 +55,7 @@ int main(int argc, char** argv) try {
             << "\nenergy (kJ)           : " << fifer::fmt(r.energy_joules / 1000.0, 1)
             << "\n";
 
-  if (cfg.get_bool("timeline", false)) {
+  if (timeline) {
     std::cout << "\ntimeline (t_s active prov queued nodes_on watts):\n";
     for (const auto& s : r.timeline) {
       std::cout << "  " << fifer::fmt(fifer::to_seconds(s.time), 0) << " "

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
@@ -142,12 +143,19 @@ int analyze_spans(const std::string& path, std::size_t top) {
 
 int main(int argc, char** argv) try {
   const fifer::Config cfg = fifer::Config::from_args(argc, argv);
-  if (cfg.has("spans")) {
-    return analyze_spans(cfg.get_string("spans", ""),
-                         static_cast<std::size_t>(cfg.get_int("top", 5)));
-  }
+  const bool spans_mode = cfg.has("spans");
+  const std::string spans_path = cfg.get_string("spans", "");
+  const auto top = static_cast<std::size_t>(cfg.get_int("top", 5));
   std::string log_path = cfg.get_string("log", "");
   const bool keep_log = cfg.get_bool("keep_log", false);
+  // Knobs of the run that produces a log when none is supplied.
+  const std::string policy = cfg.get_string("policy", "fifer");
+  const double duration_s = cfg.get_double("duration_s", 240.0);
+  const double lambda = cfg.get_double("lambda", 15.0);
+  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  fifer::exit_on_unknown_keys(cfg);
+
+  if (spans_mode) return analyze_spans(spans_path, top);
   bool generated = false;
 
   if (log_path.empty()) {
@@ -155,11 +163,10 @@ int main(int argc, char** argv) try {
     log_path = "fifer_trace.jsonl";
     generated = true;
     fifer::ExperimentParams p;
-    p.rm = fifer::RmConfig::by_name(cfg.get_string("policy", "fifer"));
+    p.rm = fifer::RmConfig::by_name(policy);
     p.mix = fifer::WorkloadMix::heavy();
-    p.trace = fifer::poisson_trace(cfg.get_double("duration_s", 240.0),
-                                   cfg.get_double("lambda", 15.0));
-    p.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+    p.trace = fifer::poisson_trace(duration_s, lambda);
+    p.seed = seed;
     p.train.epochs = 8;
     p.trace_log_path = log_path;
     const auto r = fifer::run_experiment(std::move(p));

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdlib>
+#include <iostream>
+
+#include "common/config.hpp"
 
 namespace fifer {
 
@@ -101,6 +105,15 @@ std::vector<std::string> canonicalize_flags(int argc, const char* const* argv,
     out.push_back(arg);
   }
   return out;
+}
+
+void exit_on_unknown_keys(const Config& cfg, const std::string& usage) {
+  const std::vector<std::string> unused = cfg.unused_keys();
+  if (unused.empty()) return;
+  std::cerr << "error: unknown option(s):";
+  for (const std::string& key : unused) std::cerr << ' ' << key;
+  std::cerr << '\n' << usage << std::flush;
+  std::exit(2);
 }
 
 }  // namespace fifer

@@ -6,6 +6,8 @@
 
 namespace fifer {
 
+class Config;
+
 /// A user error on the command line: an unrecognized flag, a flag missing
 /// its required value, or a bare word that is neither a flag nor key=value.
 /// CLIs catch this at the top level, print their usage string, and exit with
@@ -54,5 +56,12 @@ std::string usage_text(const std::vector<CliFlag>& flags);
 /// exit code 2 instead of surfacing as a half-configured run.
 std::vector<std::string> canonicalize_flags(int argc, const char* const* argv,
                                             const std::vector<CliFlag>& flags);
+
+/// Typo rejection for a `main`: when some `key=value` argument of `cfg` was
+/// never read, prints "error: unknown option(s): ..." (followed by `usage`,
+/// if given) to stderr and exits with status 2. Call it once every knob has
+/// been read and before the work starts, so a typo'd parameter fails fast
+/// instead of silently running the default experiment.
+void exit_on_unknown_keys(const Config& cfg, const std::string& usage = "");
 
 }  // namespace fifer

@@ -43,8 +43,8 @@ struct SlabHandle {
 ///    `kChunkSize` elements; a steady-state spawn/terminate cycle recycles
 ///    freelist slots and never touches the allocator.
 ///  - **Pointer stability.** Elements are never moved or copied, so `T` may
-///    be non-movable (a LiveContainer owning a worker thread) and raw
-///    pointers/references stay valid until that element is erased.
+///    be non-movable and raw pointers/references stay valid until that
+///    element is erased.
 ///  - **Deterministic, scan-friendly iteration order.** Live slot indices
 ///    sit densely in an *insertion-order* vector, so iterating a slab is
 ///    byte-for-byte equivalent to iterating the

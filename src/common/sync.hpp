@@ -91,10 +91,11 @@ namespace fifer::sync {
 namespace lock_rank {
 /// Participates in graph cycle detection only, not the rank check.
 inline constexpr int kUnranked = -1;
-/// LiveRuntime::mu_ — the single decision-state lock; taken first.
+/// `runtime.state`, the wall driver's lock — the single decision-state
+/// lock of a live run; taken first.
 inline constexpr int kRuntimeState = 10;
-/// Pacing-layer leaves under the runtime state lock: container batch
-/// queues, the wall timer queue, the retirement list.
+/// Leaves under the runtime state lock: the server's pending-response
+/// queue (`net.server.pending`).
 inline constexpr int kRuntimeLeaf = 20;
 /// Tooling locks never nested with the runtime: thread-pool queue, sweep
 /// progress serialization, parallel-for first-error capture.
@@ -104,8 +105,9 @@ inline constexpr int kReport = 100;
 }  // namespace lock_rank
 
 /// One lock *role* (not one lock instance): all mutexes sharing a class are
-/// interchangeable for ordering purposes — e.g. every LiveContainer queue
-/// lock is the same class. Instances must have static storage duration.
+/// interchangeable for ordering purposes — e.g. every server's
+/// pending-response lock is the same class. Instances must have static
+/// storage duration.
 struct LockClass {
 #if FIFER_LOCK_ORDER_ENABLED
   LockClass(const char* name, int rank);

@@ -16,7 +16,8 @@ namespace fifer::net {
 
 /// Application-side callbacks of the server, invoked on the epoll thread
 /// with no server lock held (so implementations may take the runtime state
-/// lock — rank kRuntimeState — freely).
+/// lock — the live runtime's wall-driver lock, rank kRuntimeState —
+/// freely).
 class ServerHandler : public FrameHandler {
  public:
   /// The connection is gone (peer close, error, or slow-consumer drop). Any
@@ -56,8 +57,9 @@ struct ServerStats {
 /// (Slab-recycled slots — steady-state accept/read/dispatch touches no
 /// allocator); the one cross-thread channel is `respond()`, which stages the
 /// encoded-response parameters under the `net.server.pending` leaf lock
-/// (rank kRuntimeLeaf, safe under the runtime state lock) and wakes the loop
-/// through an eventfd.
+/// (rank kRuntimeLeaf: a completion fired by the wall driver responds with
+/// the runtime state lock held, the one sanctioned 10 -> 20 nesting) and
+/// wakes the loop through an eventfd.
 ///
 /// Lifecycle: `listen()` binds synchronously (so the caller learns the port
 /// — and EADDRINUSE — before any thread exists; early connections queue in

@@ -34,10 +34,11 @@ struct ExternalRequest {
 };
 
 /// The admission interface the runtime exposes to an external source.
-/// Implemented by LiveRuntime; thread-safe (takes the runtime state lock),
-/// so the source's I/O thread calls it directly — holding no source-side
-/// lock, per the §5f rank hierarchy (runtime state is rank kRuntimeState,
-/// below every net-layer leaf lock).
+/// Implemented by LiveRuntime; thread-safe (takes the runtime state lock —
+/// the wall driver's lock, rank kRuntimeState — and wakes the driver when
+/// it sleeps), so the source's I/O thread calls it directly, holding no
+/// source-side lock: every net-layer leaf lock ranks above kRuntimeState
+/// (§5f), so it may be taken under the state lock but never held into it.
 class ExternalGate {
  public:
   enum class Admit {
@@ -70,24 +71,25 @@ class ExternalArrivalSource {
  public:
   virtual ~ExternalArrivalSource() = default;
 
-  /// The runtime is accepting: workers are released, the clock is anchored.
-  /// Called once, on the gateway thread, before the drain loop starts. The
-  /// gate and clock outlive the run.
+  /// The runtime is accepting: the clock is anchored and the gate is open.
+  /// Called once, on the driver thread with no lock held, before the drain
+  /// loop starts. The gate and clock outlive the run.
   virtual void start(ExternalGate& gate, const LiveClock& clock) = 0;
 
-  /// An admitted request completed. Called with the runtime state lock
-  /// held — implementations may take leaf locks (rank > kRuntimeState) but
-  /// must not call back into the gate.
+  /// An admitted request completed. Called on the driver thread with the
+  /// runtime state lock held — implementations may take leaf locks
+  /// (rank > kRuntimeState) but must not call back into the gate.
   virtual void on_completion(const ExternalCompletion& done) = 0;
 
   /// Drain predicate: true once the source expects no further submissions
-  /// (e.g. every client sent its FIN). Polled off-lock by the gateway; pair
-  /// state changes with `ExternalGate::wake()`.
+  /// (e.g. every client sent its FIN). Polled by the driver under the
+  /// runtime state lock, so it must not call back into the gate; pair state
+  /// changes with `ExternalGate::wake()`.
   virtual bool finished() = 0;
 
   /// The run is over (drain or hard deadline): stop submitting. Called once
-  /// on the gateway thread before worker teardown; submissions racing this
-  /// call get Admit::kDraining.
+  /// on the driver thread with no lock held, after the gate closed;
+  /// submissions racing this call get Admit::kDraining.
   virtual void stop() = 0;
 };
 

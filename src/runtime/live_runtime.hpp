@@ -1,32 +1,16 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/slab.hpp"
 #include "common/sync.hpp"
-
-#include "cluster/event_bus.hpp"
-#include "common/rng.hpp"
-#include "core/app_profile.hpp"
+#include "core/chain_engine.hpp"
 #include "core/experiment_params.hpp"
-#include "core/metrics.hpp"
-#include "core/policy/policy_context.hpp"
-#include "core/policy/policy_engine.hpp"
-#include "core/stage.hpp"
-#include "core/stats_db.hpp"
-#include "predict/window.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/external_source.hpp"
-#include "runtime/live_cluster.hpp"
-#include "runtime/live_container.hpp"
-#include "runtime/recorder.hpp"
-#include "runtime/timer_queue.hpp"
-#include "workload/arrival.hpp"
+#include "runtime/wall_driver.hpp"
 
 namespace fifer {
 
@@ -70,161 +54,68 @@ struct LiveRunReport {
   /// Wall seconds the driving loop spent between clock anchor and shutdown.
   double wall_seconds = 0.0;
   double time_scale = 1.0;
-  /// Timer callbacks fired (arrivals, bus deliveries, ticks, housekeeping).
+  /// Events the wall driver fired: arrivals, bus deliveries, cold starts,
+  /// service times, ticks and housekeeping.
   std::uint64_t timer_events = 0;
-  /// Stats-store traffic (the paper's §6.1.5 access-cost view).
-  std::uint64_t stats_reads = 0;
-  std::uint64_t stats_writes = 0;
-  /// High-water mark of concurrently live container worker threads.
+  /// Threads that executed the run: the wall driver's fixed count,
+  /// independent of the fleet size.
   std::size_t peak_worker_threads = 0;
 };
 
-/// The live-mode executor: the same Fifer control plane as FiferFramework —
-/// identical PolicyContext surface, identical workload path, the *same*
-/// PolicyEngine strategies byte-for-byte — but the data plane is real
-/// threads pacing real (compressed) wall-clock time instead of a discrete
-/// event queue. Containers are worker threads that sleep out cold starts and
-/// service times (LiveContainer); nodes are slot-accounted thread groups
-/// (LiveCluster); events (arrivals, bus deliveries, policy ticks) ride a
-/// wall-clock timer queue (WallTimerQueue).
+/// The live-mode executor: the orchestration core (ChainEngine) on the
+/// wall-paced `WallDriver` instead of the discrete-event `Simulation`. The
+/// PolicyContext surface, the task path and the PolicyEngine strategies are
+/// the simulator's, call for call; only the clock differs. Containers are
+/// the simulator's passive `Container`s, and their cold starts and service
+/// times are driver events on (compressed) wall time.
 ///
-/// Concurrency model — one writer domain, many pacers:
-///  - All decision state (stages, queues, passive containers, cluster
-///    accounting, rng, metrics) is guarded by a single state mutex `mu_`;
-///    policies never see concurrency, exactly as on the simulator's event
-///    loop. Worker threads only *pace*: they sleep, then call back into the
-///    host, which takes `mu_` and runs the same bookkeeping the simulator
-///    runs at its event boundaries.
-///  - Lock order: `mu_` -> worker queue lock (via submit/retire) and
-///    `mu_` -> timer lock (via at/every/notify). Host callbacks from workers
-///    take `mu_` with no worker lock held. Thread joins happen with no locks
-///    held (LiveCluster's retirement list). The order is machine-enforced:
-///    `mu_` is ranked `lock_rank::kRuntimeState`, every lock below it
-///    `kRuntimeLeaf`, and debug builds trap any inverted acquisition
-///    through the lock-order registry (common/sync.hpp).
+/// Concurrency: the driver's one thread fires every event under the
+/// driver's lock (`runtime.state`, rank kRuntimeState). The only other
+/// thread that enters is the network I/O thread of a serving run, through
+/// `ExternalGate::submit`, which takes the same lock. Policies never see
+/// concurrency, exactly as on the simulator's event loop.
 ///
 /// One instance runs one experiment, like the framework:
 ///
 ///   LiveRunReport r = LiveRuntime(params, {.time_scale = 100}).run();
-class LiveRuntime : public PolicyContext,
-                    public LiveContainerHost,
-                    public ExternalGate {
+class LiveRuntime final : public ChainEngine, public ExternalGate {
  public:
   LiveRuntime(ExperimentParams params, LiveOptions opts);
-  ~LiveRuntime() override;
 
   /// Replays the trace in scaled real time and returns the collected
   /// metrics. Single-shot. Returns within the wall budget (see LiveOptions).
-  LiveRunReport run() FIFER_EXCLUDES(mu_);
+  LiveRunReport run();
 
-  // --- introspection (tests; call only before run() or after it returns —
-  // the documented single-threaded phases, hence exempt from analysis) ---
-  const LiveClock& clock() const { return clock_; }
-  const StatsDb& stats_db() const FIFER_NO_THREAD_SAFETY_ANALYSIS {
-    return recorder_.db();
-  }
-  const LiveCluster& live_cluster() const { return cluster_; }
-  const ProfileBook& profiles() const override { return profiles_; }
+  const LiveClock& clock() const { return driver_.clock(); }
 
-  // --- PolicyContext view (called by the policy strategies, under mu_) ---
-  SimTime now() const override { return clock_.now_ms(); }
-  const ExperimentParams& params() const override { return params_; }
-  std::map<std::string, StageState>& stages() override FIFER_REQUIRES(mu_) {
-    return stages_;
-  }
-  const MicroserviceRegistry& services() const override { return services_; }
-  const ApplicationRegistry& apps() const override { return apps_; }
-  const WindowSampler& sampler() const override FIFER_REQUIRES(mu_) {
-    return sampler_;
-  }
-  Container* spawn_container(StageState& st) override FIFER_REQUIRES(mu_);
-  void terminate_container(StageState& st, Container& c) override
-      FIFER_REQUIRES(mu_);
-  void every(SimDuration period_ms, std::function<void(SimTime)> cb) override;
-  obs::TraceSink* trace() const override FIFER_NO_THREAD_SAFETY_ANALYSIS {
-    return recorder_.sink();
+  // --- driver interface (PolicyContext half) ---
+  SimTime now() const override { return driver_.now(); }
+  void every(SimDuration period_ms, std::function<void(SimTime)> cb) override
+      FIFER_NO_THREAD_SAFETY_ANALYSIS {
+    driver_.every(period_ms, std::move(cb));
   }
 
-  // --- LiveContainerHost hooks (called from worker threads; take mu_) ---
-  void on_container_ready(ContainerId id) override FIFER_EXCLUDES(mu_);
-  SimDuration on_task_begin(ContainerId id, TaskRef task) override
-      FIFER_EXCLUDES(mu_);
-  void on_task_finish(ContainerId id, TaskRef task) override
-      FIFER_EXCLUDES(mu_);
+  // --- ExternalGate (called from the front-end's I/O thread) ---
+  Admit submit(const ExternalRequest& req) override;
+  void wake() override { driver_.wake(); }
 
-  // --- ExternalGate (called from the front-end's I/O thread; takes mu_) ---
-  Admit submit(const ExternalRequest& req) override FIFER_EXCLUDES(mu_);
-  void wake() override;
+ protected:
+  void after(SimDuration delay, EventQueue::Callback cb) override
+      FIFER_NO_THREAD_SAFETY_ANALYSIS {
+    driver_.after(delay, std::move(cb));
+  }
+  /// External mode: emits the request's network span and hands the
+  /// completion back to the source, which writes the response.
+  void job_completed(const Job& job) override FIFER_NO_THREAD_SAFETY_ANALYSIS;
 
  private:
   friend class Gateway;  // the run driver: arrival pump, drain, shutdown
 
-  // Workload path; all require mu_ (compile-enforced under clang TSA).
-  void submit_job(const Arrival& arrival) FIFER_REQUIRES(mu_);
-  void transition_to_stage(Job& job, std::size_t stage_index)
-      FIFER_REQUIRES(mu_);
-  void enqueue_task(Job& job, std::size_t stage_index) FIFER_REQUIRES(mu_);
-  void dispatch_stage(StageState& st) FIFER_REQUIRES(mu_);
-  void complete_job(Job& job) FIFER_REQUIRES(mu_);
-
-  // Container lifecycle / housekeeping; mirror the framework's, mu_ held.
-  bool reclaim_idle_capacity() FIFER_REQUIRES(mu_);
-  void reap_idle_containers() FIFER_REQUIRES(mu_);
-  void housekeeping_tick() FIFER_REQUIRES(mu_);
-  void check_request_conservation() const FIFER_REQUIRES(mu_);
-
-  /// Where a passive container lives: its stage plus the slab handle that
-  /// resolves it in O(1) from worker callbacks (no per-stage linear scan).
-  struct ContainerRef {
-    std::string stage;
-    SlabHandle<Container> handle;
-  };
-
-  StageState& stage_of(const std::string& name) FIFER_REQUIRES(mu_);
-  const ContainerRef& container_ref(ContainerId id) const FIFER_REQUIRES(mu_);
-  /// Starts workers spawned during offline setup (static pools): their
-  /// cold-start sleeps must be measured from the clock anchor, not before.
-  void start_pending_workers() FIFER_REQUIRES(mu_);
-  void trace_batch_profiles() FIFER_REQUIRES(mu_);
-  void export_trace_files() FIFER_REQUIRES(mu_);
-
-  /// The single state lock (see the class comment for the lock order).
-  /// Declared first so guarded members below can name it in annotations.
-  mutable Mutex mu_;
-
-  // Immutable configuration / internally synchronized machinery: params_,
-  // opts_, clock_ (anchor written pre-concurrency), timers_ (own lock),
-  // services_, apps_, engine_ (strategy objects — their mutable state is
-  // only touched through calls made under mu_), profiles_ (shaped at
-  // construction, read-only after).
-  ExperimentParams params_;
+  // Engine entry points run on the driver thread under the driver lock, or
+  // (before the clock anchor) single-threaded, so the engine needs no
+  // annotations; the driver-side calls above are exempt for that reason.
   LiveOptions opts_;
-  LiveClock clock_;
-  WallTimerQueue timers_;
-  /// Accounting half is serialized by mu_ (see LiveCluster); the thread
-  /// lifecycle half has its own internal lock and must be called with mu_
-  /// released, which is why the field itself cannot carry a GUARDED_BY.
-  LiveCluster cluster_;
-  MicroserviceRegistry services_;
-  ApplicationRegistry apps_;
-  /// The assembled policy strategies; must precede profiles_ (the batch
-  /// sizer shapes the stage profiles), exactly as in FiferFramework.
-  PolicyEngine engine_;
-  ProfileBook profiles_;
-  std::map<std::string, StageState> stages_ FIFER_GUARDED_BY(mu_);
-  Rng rng_ FIFER_GUARDED_BY(mu_);
-  WindowSampler sampler_ FIFER_GUARDED_BY(mu_);
-  EventBus bus_ FIFER_GUARDED_BY(mu_);
-  LiveStatsRecorder recorder_ FIFER_GUARDED_BY(mu_);
-
-  /// Jobs are never erased during a run, so size() is the submitted count;
-  /// slab storage keeps addresses stable for the TaskRef/timer captures.
-  Slab<Job> jobs_ FIFER_GUARDED_BY(mu_);
-  /// Passive container id -> {stage, slab handle}, for worker callbacks.
-  std::unordered_map<std::uint64_t, ContainerRef> container_refs_
-      FIFER_GUARDED_BY(mu_);
-  /// Workers created before the clock anchor, started by the gateway.
-  std::vector<LiveContainer*> pending_start_ FIFER_GUARDED_BY(mu_);
+  WallDriver driver_;
   /// Registry insertion order -> app name: the wire protocol's app_index
   /// numbering. Built at construction, immutable afterwards.
   std::vector<std::string> app_names_;
@@ -235,16 +126,12 @@ class LiveRuntime : public PolicyContext,
   std::vector<bool> app_servable_;
   /// External-mode bookkeeping: the original ExternalRequest of job id `i`
   /// at index i (external jobs are the only jobs, and ids are sequential).
-  std::vector<ExternalRequest> external_meta_ FIFER_GUARDED_BY(mu_);
+  std::vector<ExternalRequest> external_meta_ FIFER_GUARDED_BY(driver_.mu());
   /// Gate state: only true between the gateway opening the gate (external
   /// mode, post-anchor) and drain/teardown.
-  bool accepting_external_ FIFER_GUARDED_BY(mu_) = false;
-  std::uint64_t completed_jobs_ FIFER_GUARDED_BY(mu_) = 0;
-  std::uint64_t next_job_id_ FIFER_GUARDED_BY(mu_) = 0;
-  std::uint64_t next_container_id_ FIFER_GUARDED_BY(mu_) = 0;
-  SimTime end_of_arrivals_ FIFER_GUARDED_BY(mu_) = 0.0;
-  SimTime trace_end_ FIFER_GUARDED_BY(mu_) = 0.0;
-  bool arrivals_done_ FIFER_GUARDED_BY(mu_) = false;
+  bool accepting_external_ FIFER_GUARDED_BY(driver_.mu()) = false;
+  SimTime trace_end_ FIFER_GUARDED_BY(driver_.mu()) = 0.0;
+  bool arrivals_done_ FIFER_GUARDED_BY(driver_.mu()) = false;
   /// Only touched by run() on the driving thread before any concurrency.
   bool ran_ = false;
 };

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include "core/framework.hpp"
@@ -19,6 +20,13 @@ struct SweepCase {
   const char* policy;
   const char* mix;
 };
+
+// Without a printer gtest names each case after the raw bytes of the two
+// pointers, which ASLR moves on every run, so the listed test names (and the
+// ctest names discovered from them) changed from build to build.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << '{' << c.policy << ", " << c.mix << '}';
+}
 
 class PolicyMixSweep : public testing::TestWithParam<SweepCase> {};
 

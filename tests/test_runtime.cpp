@@ -1,18 +1,18 @@
-// Live-mode runtime tests: clock compression, wall-timer ordering, the
-// container worker lifecycle, bounded shutdown, and — the headline contract —
-// sim-vs-live fidelity on the same preset/trace/seed.
+// Live-mode runtime tests: clock compression, wall-driver ordering, the
+// container lifecycle as driver events, bounded shutdown, and — the
+// headline contract — sim-vs-live fidelity on the same preset/trace/seed.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster/container.hpp"
+#include "common/sync.hpp"
 #include "core/framework.hpp"
 #include "obs/recording_sink.hpp"
 #include "runtime/live_runtime.hpp"
@@ -68,195 +68,239 @@ TEST(LiveClock, DeadlinesAreScaleSpaced) {
             std::chrono::milliseconds(10));
 }
 
-// ------------------------------------------------------------- timer queue
+// ------------------------------------------------------------- wall driver
 
-TEST(WallTimerQueue, FiresInDeadlineOrderWithStableTies) {
-  LiveClock clock(1000.0);  // 1 wall ms = 1 simulated second
-  WallTimerQueue timers(clock);
+TEST(WallDriver, FiresInDeadlineOrderWithStableTies) {
+  WallDriver driver(1000.0);  // 1 wall ms = 1 simulated second
   std::vector<int> order;
-  timers.at(50.0, [&](SimTime) { order.push_back(2); });
-  timers.at(10.0, [&](SimTime) { order.push_back(1); });
-  timers.at(50.0, [&](SimTime) { order.push_back(3); });  // tie: after 2
-  clock.start();
-  timers.run([&] { return order.size() == 3; },
-             LiveClock::WallClock::now() + std::chrono::seconds(20));
+  {
+    MutexLock lock(&driver.mu());
+    driver.at(50.0, [&] { order.push_back(2); });
+    driver.at(10.0, [&] { order.push_back(1); });
+    driver.at(50.0, [&] { order.push_back(3); });  // tie: after 2
+  }
+  driver.start();
+  const std::uint64_t fired =
+      driver.run([&] { return order.size() == 3; },
+                 LiveClock::WallClock::now() + std::chrono::seconds(20));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(fired, 3u);
 }
 
-TEST(WallTimerQueue, PeriodicTicksKeepFiring) {
-  LiveClock clock(1000.0);
-  WallTimerQueue timers(clock);
+TEST(WallDriver, PeriodicTicksKeepFiring) {
+  WallDriver driver(1000.0);
   int ticks = 0;
-  clock.start();
-  timers.every(seconds(1.0), [&](SimTime) { ++ticks; });
-  timers.run([&] { return ticks >= 3; },
+  driver.start();
+  {
+    MutexLock lock(&driver.mu());
+    driver.every(seconds(1.0), [&](SimTime) { ++ticks; });
+  }
+  driver.run([&] { return ticks >= 3; },
              LiveClock::WallClock::now() + std::chrono::seconds(20));
   EXPECT_GE(ticks, 3);
 }
 
-TEST(WallTimerQueue, NotifyWakesTheDonePredicate) {
-  LiveClock clock(1.0);
-  WallTimerQueue timers(clock);
+TEST(WallDriver, PendingCountsScheduledEvents) {
+  WallDriver driver(1000.0);
+  int fired = 0;
+  {
+    MutexLock lock(&driver.mu());
+    EXPECT_EQ(driver.pending(), 0u);
+    driver.at(10.0, [&] { ++fired; });
+    driver.at(minutes(20.0), [] {});
+    driver.every(seconds(1.0), [](SimTime) {});
+    EXPECT_EQ(driver.pending(), 3u);
+  }
+  driver.start();
+  driver.run([&] { return fired >= 1; },
+             LiveClock::WallClock::now() + std::chrono::seconds(20));
+  EXPECT_EQ(fired, 1);
+  // One-shots are consumed when fired; the periodic event re-arms itself.
+  MutexLock lock(&driver.mu());
+  EXPECT_EQ(driver.pending(), 2u);
+}
+
+TEST(WallDriver, WakeReachesTheDonePredicate) {
+  WallDriver driver(1.0);
   std::atomic<bool> flag{false};
-  clock.start();
-  // Only a far-future entry in the queue: without notify() the loop would
-  // sleep toward it; the external thread must be able to wake it early.
-  timers.at(minutes(10.0), [](SimTime) {});
+  driver.start();
+  {
+    // Only a far-future event: without wake() the loop would sleep toward
+    // it; another thread must be able to wake it early.
+    MutexLock lock(&driver.mu());
+    driver.at(minutes(10.0), [] {});
+  }
   std::thread poker([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     flag = true;
-    timers.notify();
+    driver.wake();
   });
   const auto t0 = LiveClock::WallClock::now();
-  timers.run([&] { return flag.load(); },
+  driver.run([&] { return flag.load(); },
              LiveClock::WallClock::now() + std::chrono::seconds(30));
   poker.join();
   EXPECT_TRUE(flag.load());
   EXPECT_LT(LiveClock::WallClock::now() - t0, std::chrono::seconds(25));
 }
 
-TEST(WallTimerQueue, PendingCountsQueuedTimers) {
-  LiveClock clock(1000.0);
-  WallTimerQueue timers(clock);
-  EXPECT_EQ(timers.pending(), 0u);
-  timers.at(minutes(10.0), [](SimTime) {});
-  timers.at(minutes(20.0), [](SimTime) {});
-  timers.every(minutes(1.0), [](SimTime) {});
-  EXPECT_EQ(timers.pending(), 3u);
-
-  // One-shots are consumed when fired; periodic entries re-arm themselves.
-  LiveClock fast(1000.0);
-  WallTimerQueue firing(fast);
-  int fired = 0;
-  firing.at(10.0, [&](SimTime) { ++fired; });
-  firing.every(seconds(1.0), [&](SimTime) {});
-  fast.start();
-  firing.run([&] { return fired >= 1; },
-             LiveClock::WallClock::now() + std::chrono::seconds(20));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(firing.pending(), 1u);  // only the periodic survives
+TEST(WallDriver, SchedulingFromAnotherThreadWakesTheSleeper) {
+  // The serving path: the I/O thread submits (schedules an event) while the
+  // driver sleeps toward a far-future deadline. The new, earlier event must
+  // fire without waiting for the old one.
+  WallDriver driver(1.0);
+  std::atomic<bool> fired{false};
+  driver.start();
+  {
+    MutexLock lock(&driver.mu());
+    driver.at(minutes(10.0), [] {});
+  }
+  std::thread submitter([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    MutexLock lock(&driver.mu());
+    driver.after(0.0, [&] { fired = true; });
+  });
+  const auto t0 = LiveClock::WallClock::now();
+  driver.run([&] { return fired.load(); },
+             LiveClock::WallClock::now() + std::chrono::seconds(30));
+  submitter.join();
+  EXPECT_TRUE(fired.load());
+  EXPECT_LT(LiveClock::WallClock::now() - t0, std::chrono::seconds(25));
 }
 
-TEST(WallTimerQueue, NotifyRacesHardDeadlineExpiry) {
-  // Hammer notify() from another thread while run() expires on its hard
-  // wall deadline: the loop must exit exactly once, with no hang and no
-  // missed wakeup, whichever side wins the race.
-  LiveClock clock(1.0);
-  WallTimerQueue timers(clock);
-  clock.start();
-  timers.at(minutes(10.0), [](SimTime) {});
-
+TEST(WallDriver, WakeRacesHardDeadlineExpiry) {
+  // Hammer wake() from another thread while run() expires on its hard wall
+  // deadline: the loop must exit exactly once, with no hang and no missed
+  // wakeup, whichever side wins the race.
+  WallDriver driver(1.0);
+  driver.start();
+  {
+    MutexLock lock(&driver.mu());
+    driver.at(minutes(10.0), [] {});
+  }
   std::atomic<bool> done{false};
   std::thread hammer([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      timers.notify();
-    }
+    while (!done.load(std::memory_order_acquire)) driver.wake();
   });
 
   const auto t0 = LiveClock::WallClock::now();
   // done-predicate never true: only the hard deadline can end the run.
-  timers.run([] { return false; }, t0 + std::chrono::milliseconds(50));
+  driver.run([] { return false; }, t0 + std::chrono::milliseconds(50));
   const auto wall = LiveClock::WallClock::now() - t0;
   done.store(true, std::memory_order_release);
   hammer.join();
 
   EXPECT_GE(wall, std::chrono::milliseconds(45));
   EXPECT_LT(wall, std::chrono::seconds(20));  // generous CI margin
-  EXPECT_EQ(timers.pending(), 1u);  // the far-future entry never fired
+  MutexLock lock(&driver.mu());
+  EXPECT_EQ(driver.pending(), 1u);  // the far-future event never fired
 }
 
-// -------------------------------------------------------- container worker
+// ------------------------------------------- containers as driver events
 
-/// Records the host callbacks a worker makes, in order, and lets the test
-/// thread wait for a prefix to appear.
-class MockHost : public LiveContainerHost {
- public:
-  explicit MockHost(SimDuration exec_ms = 1.0) : exec_ms_(exec_ms) {}
+/// A passive container animated the way the engine animates it: the cold
+/// start is one driver event, each service time another. Logs the lifecycle
+/// in order.
+struct PacedContainer {
+  WallDriver& driver;
+  Container c;
+  SimDuration exec_ms;
+  std::vector<std::string> events;
 
-  void on_container_ready(ContainerId) override { push("ready"); }
-  SimDuration on_task_begin(ContainerId, TaskRef t) override {
-    push("begin:" + std::to_string(value_of(t.job->id)));
-    return exec_ms_;
+  void spawn(SimDuration cold_ms) {
+    driver.after(cold_ms, [this]() FIFER_NO_THREAD_SAFETY_ANALYSIS {
+      c.mark_warm(driver.now());
+      events.push_back("ready");
+      start_next();
+    });
   }
-  void on_task_finish(ContainerId, TaskRef t) override {
-    push("finish:" + std::to_string(value_of(t.job->id)));
+  void start_next() FIFER_NO_THREAD_SAFETY_ANALYSIS {
+    if (!c.warm() || c.executing() || c.queued() == 0) return;
+    const TaskRef task = c.pop();
+    events.push_back("begin:" + std::to_string(value_of(task.job->id)));
+    c.begin_execution(driver.now());
+    driver.after(exec_ms, [this, task]() FIFER_NO_THREAD_SAFETY_ANALYSIS {
+      c.end_execution(driver.now());
+      events.push_back("finish:" + std::to_string(value_of(task.job->id)));
+      start_next();
+    });
   }
-
-  std::vector<std::string> events() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return events_;
-  }
-  bool wait_for(std::size_t n, std::chrono::milliseconds budget) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, budget, [&] { return events_.size() >= n; });
-  }
-
- private:
-  void push(std::string e) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      events_.push_back(std::move(e));
-    }
-    cv_.notify_all();
-  }
-  const SimDuration exec_ms_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::string> events_;
 };
 
-TEST(LiveContainer, ColdStartsThenServesItsQueueInOrder) {
-  LiveClock clock(1000.0);
-  MockHost host(/*exec_ms=*/500.0);  // 0.5 wall ms per task
-  Job a, b, c;
+TEST(WallDriver, ColdStartThenServesQueueInOrder) {
+  WallDriver driver(1000.0);
+  PacedContainer pc{driver,
+                    Container(static_cast<ContainerId>(7), "ASR",
+                              static_cast<NodeId>(0), /*batch_size=*/2,
+                              /*spawned_at=*/0.0, /*cold_start_ms=*/seconds(1.0)),
+                    /*exec_ms=*/500.0,
+                    {}};
+  Job a, b;
   a.id = static_cast<JobId>(1);
   b.id = static_cast<JobId>(2);
-  c.id = static_cast<JobId>(3);
-  clock.start();
-  LiveContainer worker(static_cast<ContainerId>(7), "ASR", clock,
-                       /*spawned_at=*/0.0, /*cold_ms=*/seconds(1.0),
-                       /*batch_capacity=*/2, &host);
-  // The bounded batch queue: B_size slots, no more.
-  EXPECT_TRUE(worker.submit(TaskRef{&a, 0}));
-  EXPECT_TRUE(worker.submit(TaskRef{&b, 0}));
-  EXPECT_FALSE(worker.submit(TaskRef{&c, 0}));
-  worker.start();
-  ASSERT_TRUE(host.wait_for(5, std::chrono::seconds(20)));
-  worker.request_stop();
-  worker.join();
-  EXPECT_EQ(host.events(),
-            (std::vector<std::string>{"ready", "begin:1", "finish:1",
-                                      "begin:2", "finish:2"}));
+  a.records.resize(1);
+  b.records.resize(1);
+  {
+    MutexLock lock(&driver.mu());
+    // Dispatched during provisioning: both wait in the local queue.
+    pc.c.enqueue(TaskRef{&a, 0});
+    pc.c.enqueue(TaskRef{&b, 0});
+    pc.spawn(seconds(1.0));
+  }
+  driver.start();
+  const auto t0 = LiveClock::WallClock::now();
+  driver.run([&] { return pc.events.size() == 5; },
+             LiveClock::WallClock::now() + std::chrono::seconds(20));
+  EXPECT_EQ(pc.events, (std::vector<std::string>{"ready", "begin:1", "finish:1",
+                                                 "begin:2", "finish:2"}));
+  // 1 s cold start + 2 x 0.5 s service on the 1000x clock: >= 2 wall ms.
+  EXPECT_GE(LiveClock::WallClock::now() - t0, std::chrono::milliseconds(2));
+  EXPECT_FALSE(pc.c.executing());
 }
 
-TEST(LiveContainer, StopInterruptsTheColdStartSleep) {
-  LiveClock clock(1.0);  // real time: the 10-minute cold start never elapses
-  MockHost host;
-  clock.start();
-  LiveContainer worker(static_cast<ContainerId>(1), "ASR", clock, 0.0,
-                       minutes(10.0), 1, &host);
-  worker.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  worker.request_stop();
-  worker.join();  // must return promptly, without the ready callback
-  EXPECT_TRUE(host.events().empty());
+TEST(WallDriver, StopDuringColdStartSkipsTheReadyEvent) {
+  WallDriver driver(1.0);  // real time: the 10-minute cold start never elapses
+  PacedContainer pc{driver,
+                    Container(static_cast<ContainerId>(1), "ASR",
+                              static_cast<NodeId>(0), 1, 0.0, minutes(10.0)),
+                    1.0,
+                    {}};
+  {
+    MutexLock lock(&driver.mu());
+    pc.spawn(minutes(10.0));
+  }
+  driver.start();
+  std::atomic<bool> stop{false};
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    stop = true;
+    driver.wake();
+  });
+  const auto t0 = LiveClock::WallClock::now();
+  driver.run([&] { return stop.load(); },
+             LiveClock::WallClock::now() + std::chrono::seconds(30));
+  stopper.join();
+  // Returned promptly, without the ready event.
+  EXPECT_LT(LiveClock::WallClock::now() - t0, std::chrono::seconds(25));
+  EXPECT_TRUE(pc.events.empty());
+  EXPECT_FALSE(pc.c.warm());
 }
 
-TEST(LiveContainer, StartIsDeferredAndIdempotent) {
-  LiveClock clock(1000.0);
-  MockHost host;
-  LiveContainer worker(static_cast<ContainerId>(1), "ASR", clock, 0.0, 100.0,
-                       1, &host);
-  // Not started: no thread, no callbacks.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(host.events().empty());
-  clock.start();
-  worker.start();
-  worker.start();  // second call is a no-op
-  ASSERT_TRUE(host.wait_for(1, std::chrono::seconds(20)));
-  worker.request_stop();
-  worker.join();
-  EXPECT_EQ(host.events(), (std::vector<std::string>{"ready"}));
+TEST(WallDriver, EventsScheduledBeforeTheAnchorCountFromIt) {
+  // Static pools are spawned offline, before the clock is anchored: their
+  // cold starts must be measured from the anchor, not from construction.
+  WallDriver driver(10.0);  // 100 simulated ms = 10 wall ms
+  SimTime fired_at = -1.0;
+  {
+    MutexLock lock(&driver.mu());
+    EXPECT_DOUBLE_EQ(driver.now(), 0.0);
+    driver.after(100.0, [&] { fired_at = driver.now(); });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  driver.start();
+  const auto anchor = LiveClock::WallClock::now();
+  driver.run([&] { return fired_at >= 0.0; }, anchor + std::chrono::seconds(20));
+  EXPECT_GE(fired_at, 100.0);
+  EXPECT_GE(LiveClock::WallClock::now() - anchor, std::chrono::milliseconds(9));
 }
 
 // --------------------------------------------------------------- live runs
@@ -284,11 +328,27 @@ TEST(LiveRuntime, SmokeDrainsAllJobs) {
   EXPECT_GT(r.result.jobs_submitted, 50u);
   EXPECT_EQ(r.result.jobs_completed, r.result.jobs_submitted);
   EXPECT_GT(r.result.containers_spawned, 0u);
-  EXPECT_GT(r.peak_worker_threads, 0u);
-  EXPECT_GT(r.stats_writes, 0u);
-  // Arrivals, bus deliveries, and periodic ticks all ride the timer queue.
+  EXPECT_EQ(r.peak_worker_threads, WallDriver::kThreads);
+  // Arrivals, bus deliveries, cold starts, service times and periodic ticks
+  // all ride the wall driver.
   EXPECT_GT(r.timer_events, r.result.jobs_submitted);
   EXPECT_DOUBLE_EQ(r.time_scale, 400.0);
+}
+
+// Containers are driver events, not threads: a static pool of well over a
+// hundred containers runs on the driver's one thread and still drains.
+TEST(LiveRuntime, LargeStaticPoolRunsOnTheDriverThread) {
+  auto p = live_params(RmConfig::sbatch(), 10.0, 5.0);
+  p.rm.static_containers_per_stage = 16;  // 7 heavy-mix stages -> 112
+  LiveOptions o;
+  o.time_scale = 400.0;
+  const LiveRunReport r = run_live(std::move(p), o);
+  EXPECT_TRUE(r.drained);
+  EXPECT_GE(r.result.containers_spawned, 100u);
+  EXPECT_GT(r.result.jobs_completed, 0u);
+  EXPECT_EQ(r.result.jobs_completed, r.result.jobs_submitted);
+  EXPECT_LT(r.peak_worker_threads, 100u);
+  EXPECT_EQ(r.peak_worker_threads, WallDriver::kThreads);
 }
 
 // A trace that generates zero arrivals must still start, tick, and drain

@@ -14,8 +14,9 @@
 #                                               the serving front-end must
 #                                               be race-free; runs the
 #                                               sweep-determinism, thread-
-#                                               pool, framework, live
-#                                               runtime, net, and sync/lock-
+#                                               pool, framework, wall
+#                                               driver, live runtime, net,
+#                                               and sync/lock-
 #                                               order suites (TSan is ~10x,
 #                                               so not the full matrix) plus
 #                                               a cross-process loopback
@@ -33,8 +34,7 @@
 # only holds in an optimized build), a wall-budgeted live-mode smoke run
 # (a 100x-compressed trace must finish inside its real-time envelope — only
 # meaningful without sanitizer slowdown), and the perf smoke: bench_scale's
-# zero-allocation dispatch probe plus the interned StatsDb microbenchmarks
-# (DESIGN.md §5g), refreshing BENCH_scale.json. Docs hygiene (markdown link
+# zero-allocation dispatch probe (DESIGN.md §5g), refreshing BENCH_scale.json. Docs hygiene (markdown link
 # check + stale-path / TODO scan) and lint run once at the end; lint uses
 # the sanitizer build's compile database.
 set -euo pipefail
@@ -116,9 +116,7 @@ timeout 30 "$ROOT/build-ci-release/examples/fifer_cli" \
 # zero-allocation dispatch loop (the bench exits non-zero otherwise), and the
 # run refreshes BENCH_scale.json, the machine-readable throughput record the
 # README perf section cites. A short duration keeps this a smoke test — the
-# published numbers come from duration_s=30 runs. The interned StatsDb
-# microbenchmarks run alongside so a hot-path regression in the columnar
-# store shows up here too.
+# published numbers come from duration_s=30 runs.
 echo "==== [release] perf smoke (zero-alloc probe + BENCH_scale.json refresh)"
 "$ROOT/build-ci-release/bench/bench_scale" duration_s=5 \
   json_out="$ROOT/BENCH_scale.json"
@@ -136,9 +134,6 @@ echo "==== [release] serving perf smoke (epoll zero-alloc probe + BENCH_serve.js
 echo "==== [release] predictor perf smoke (zero-alloc forecast probe + BENCH_predict.json refresh)"
 "$ROOT/build-ci-release/bench/bench_predict" epochs=4 probe_forecasts=500 \
   json_out="$ROOT/BENCH_predict.json"
-echo "==== [release] StatsDb hot-path microbenchmarks"
-"$ROOT/build-ci-release/bench/bench_overheads" \
-  --benchmark_filter='BM_StatsDb'
 
 run_leg asan-ubsan "$ROOT/build-ci-asan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -156,7 +151,7 @@ echo "==== [tsan] build"
 cmake --build "$ROOT/build-ci-tsan" -j "$JOBS"
 echo "==== [tsan] test (thread pool + parallel sweeps + framework + live runtime + net)"
 ctest --test-dir "$ROOT/build-ci-tsan" --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ParallelForIndex|SweepParallel|GridSweep|Sweep\.|Framework\.|LiveClock|WallTimerQueue|LiveContainer|LiveRuntime|Sync|Wire\.|Listener\.|Poller\.|Server\.|ServeSession'
+  -R 'ThreadPool|ParallelForIndex|SweepParallel|GridSweep|Sweep\.|Framework\.|LiveClock|WallDriver|LiveRuntime|Sync|Wire\.|Listener\.|Poller\.|Server\.|ServeSession'
 
 # Loopback serve smoke under TSan: one fifer_cli process serving over TCP,
 # a second one load-generating against it — the full cross-process drain

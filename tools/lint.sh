@@ -10,6 +10,7 @@
 #        - no `std::rand` / `srand` (simulation randomness must flow through
 #          fifer::Rng so runs stay reproducible and seedable)
 #        - every header under src/ starts include-guarding with `#pragma once`
+#        - no std::thread in src/core/ or src/runtime/ (events, not threads)
 #
 # Usage: tools/lint.sh [build-dir]
 #   build-dir (default: build) must contain compile_commands.json for the
@@ -73,6 +74,19 @@ RAW_SYNC=$(grep -rnE \
 if [ -n "$RAW_SYNC" ]; then
   fail "raw std synchronization primitive in src/ (use fifer::Mutex/MutexLock/CondVar from common/sync.hpp):"
   printf '%s\n' "$RAW_SYNC" >&2
+fi
+
+# No OS thread where a timer event will do: the orchestration core and the
+# live runtime run on one event loop each (the simulator's, or the wall
+# driver's single thread — DESIGN.md §5e), so cold starts, service times and
+# ticks are events, never sleeping threads. Threads belong to the tooling
+# (common/thread_pool) and the network front-end (src/net/) only.
+RAW_THREAD=$(grep -rnE 'std::(thread|jthread)\b' \
+  "$ROOT/src/core" "$ROOT/src/runtime" --include='*.cpp' --include='*.hpp' |
+  grep -vE '^\s*[^:]*:[0-9]+:\s*(//|\*)' || true)
+if [ -n "$RAW_THREAD" ]; then
+  fail "std::thread in src/core or src/runtime (schedule a driver event instead):"
+  printf '%s\n' "$RAW_THREAD" >&2
 fi
 
 # Raw socket / epoll syscalls: every network syscall in src/ lives in
